@@ -33,7 +33,108 @@ from repro.gsdb.updates import Delete, Insert, Update
 _NO_CHILDREN: dict[str, set[str]] = {}
 
 
-class ParentIndex:
+#: An upward chain ``((oid, label), ..., (top, label))`` plus whether
+#: the walk stopped at a multi-parent node (see
+#: :meth:`ParentIndex.upward_chain`).
+UpwardChain = tuple[tuple[tuple[str, str], ...], bool]
+
+
+def _locate(upward: UpwardChain, ancestor: str, descendant: str) -> int | None:
+    """Position of *ancestor* on *descendant*'s upward chain, or None.
+
+    Raises ValueError when the walk stopped at a multi-parent node
+    before reaching *ancestor* — the same loud non-tree failure an
+    unmemoized upward walk via :meth:`ParentIndex.parent` produces.
+    """
+    chain, stopped_at_multi = upward
+    if not chain or chain[0][0] != descendant:
+        return None
+    for i, (oid, _label) in enumerate(chain):
+        if oid == ancestor:
+            return i
+    if stopped_at_multi:
+        top = chain[-1][0]
+        raise ValueError(
+            f"object {top!r} has multiple parents; base is not a tree"
+        )
+    return None
+
+
+def labels_between(
+    upward: UpwardChain, ancestor: str, descendant: str
+) -> list[str] | None:
+    """``path(ancestor, descendant)`` read off *descendant*'s upward
+    chain: the labels below *ancestor*, or None when *ancestor* is not
+    on the chain."""
+    i = _locate(upward, ancestor, descendant)
+    if i is None:
+        return None
+    labels = [label for (_oid, label) in upward[0][:i]]
+    labels.reverse()
+    return labels
+
+
+def oids_between(
+    upward: UpwardChain, ancestor: str, descendant: str
+) -> list[str] | None:
+    """``[ancestor, ..., descendant]`` read off *descendant*'s upward
+    chain, or None when *ancestor* is not on the chain."""
+    i = _locate(upward, ancestor, descendant)
+    if i is None:
+        return None
+    oids = [entry_oid for (entry_oid, _label) in upward[0][: i + 1]]
+    oids.reverse()
+    return oids
+
+
+class ChainLookups:
+    """Chain answers derived from a subclass's ``upward_chain(oid)``.
+
+    Shared by :class:`ParentIndex`, its sharded twin and the parallel
+    dispatcher's per-task index view, which differ only in how the
+    upward walk is charged.
+    """
+
+    __slots__ = ()
+
+    def memoized_path(
+        self, ancestor: str, descendant: str
+    ) -> list[str] | None:
+        """``path(ancestor, descendant)`` answered from the chain memo.
+
+        Same contract as :func:`~repro.gsdb.traversal.path_between`
+        with a parent index: the label path from *ancestor* down to
+        *descendant*, or None when *ancestor* is not an ancestor.
+        """
+        return labels_between(
+            self.upward_chain(descendant), ancestor, descendant
+        )
+
+    def memoized_chain(
+        self, ancestor: str, descendant: str
+    ) -> list[str] | None:
+        """``[ancestor, ..., descendant]`` OID chain from the memo, or
+        None when *ancestor* is not an ancestor of *descendant*."""
+        return oids_between(
+            self.upward_chain(descendant), ancestor, descendant
+        )
+
+    def chain_to_top(self, oid: str) -> tuple[tuple[str, ...], bool]:
+        """OIDs on the upward walk from *oid* to the top of its tree.
+
+        Returns ``(oids, stopped_at_multi)``: the chain starting at
+        *oid* (empty when *oid* is absent from the store) and whether
+        the walk stopped at a multi-parent node before reaching a root
+        — callers screening by ancestry must fail open in that case.
+        Served from the memoized chain cache (one warm probe); the
+        read-path invalidator (:mod:`repro.serving`) is the main
+        consumer.
+        """
+        chain, stopped_at_multi = self.upward_chain(oid)
+        return tuple(entry_oid for entry_oid, _label in chain), stopped_at_multi
+
+
+class ParentIndex(ChainLookups):
     """Maps each OID to the set of parents that point at it.
 
     In a tree every object has at most one parent (besides database or
@@ -80,9 +181,7 @@ class ParentIndex:
         #: oid -> (((oid, label), ..., (top, label)), stopped_at_multi);
         #: truncated where an object is missing from the store, or where
         #: a node has several parents (stopped_at_multi records that).
-        self._chain_cache: dict[
-            str, tuple[tuple[tuple[str, str], ...], bool]
-        ] = {}
+        self._chain_cache: dict[str, UpwardChain] = {}
         self._rebuild()
         store.subscribe(self._on_update)
         store.subscribe_creations(self._on_creation)
@@ -208,9 +307,7 @@ class ParentIndex:
 
     # -- memoized upward chains (shared across view maintainers) --------------
 
-    def _upward_chain(
-        self, oid: str
-    ) -> tuple[tuple[tuple[str, str], ...], bool]:
+    def upward_chain(self, oid: str) -> UpwardChain:
         """The chain ``((oid, label), ..., (top, label))`` walking up,
         plus whether the walk stopped at a multi-parent node.
 
@@ -257,74 +354,6 @@ class ParentIndex:
                     entries[i][0], (result[0][i:], stopped_at_multi)
                 )
         return result
-
-    def _scan_chain(
-        self, ancestor: str, descendant: str
-    ) -> tuple[tuple[tuple[str, str], ...], int] | None:
-        """Locate *ancestor* in *descendant*'s upward chain.
-
-        Returns ``(chain, index_of_ancestor)``, or None when *ancestor*
-        is not on the chain.  Raises ValueError when the walk hit a
-        multi-parent node before finding *ancestor* — the same loud
-        non-tree failure an unmemoized upward walk via :meth:`parent`
-        produces.
-        """
-        chain, stopped_at_multi = self._upward_chain(descendant)
-        if not chain or chain[0][0] != descendant:
-            return None
-        for i, (oid, _label) in enumerate(chain):
-            if oid == ancestor:
-                return chain, i
-        if stopped_at_multi:
-            top = chain[-1][0]
-            raise ValueError(
-                f"object {top!r} has multiple parents; base is not a tree"
-            )
-        return None
-
-    def memoized_path(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        """``path(ancestor, descendant)`` answered from the chain memo.
-
-        Same contract as :func:`~repro.gsdb.traversal.path_between`
-        with a parent index: the label path from *ancestor* down to
-        *descendant*, or None when *ancestor* is not an ancestor.
-        """
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        labels = [label for (_oid, label) in chain[:i]]
-        labels.reverse()
-        return labels
-
-    def memoized_chain(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        """``[ancestor, ..., descendant]`` OID chain from the memo, or
-        None when *ancestor* is not an ancestor of *descendant*."""
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        oids = [entry_oid for (entry_oid, _lab) in chain[: i + 1]]
-        oids.reverse()
-        return oids
-
-    def chain_to_top(self, oid: str) -> tuple[tuple[str, ...], bool]:
-        """OIDs on the upward walk from *oid* to the top of its tree.
-
-        Returns ``(oids, stopped_at_multi)``: the chain starting at
-        *oid* (empty when *oid* is absent from the store) and whether
-        the walk stopped at a multi-parent node before reaching a root
-        — callers screening by ancestry must fail open in that case.
-        Served from the memoized chain cache (one warm probe); the
-        read-path invalidator (:mod:`repro.serving`) is the main
-        consumer.
-        """
-        chain, stopped_at_multi = self._upward_chain(oid)
-        return tuple(entry_oid for entry_oid, _label in chain), stopped_at_multi
 
     def chain_cache_size(self) -> int:
         """Number of memoized chains (introspection for tests/benches)."""

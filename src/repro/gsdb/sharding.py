@@ -59,7 +59,7 @@ from repro.errors import (
     InvalidUpdateError,
     UnknownObjectError,
 )
-from repro.gsdb.indexes import ParentIndex
+from repro.gsdb.indexes import ChainLookups, ParentIndex, UpwardChain
 from repro.gsdb.object import AtomicValue, Object
 from repro.gsdb.store import ObjectStore, TreeSpec
 from repro.gsdb.updates import (
@@ -473,7 +473,7 @@ class ShardedStore:
         )
 
 
-class ShardedParentIndex:
+class ShardedParentIndex(ChainLookups):
     """Per-shard inverse indexes stitched through the border index.
 
     Each shard gets its own :class:`~repro.gsdb.indexes.ParentIndex`
@@ -523,9 +523,7 @@ class ShardedParentIndex:
         self._ignored: set[str] = set()
         self._ignored_prefixes: list[str] = []
         self._chain_caching = chain_cache
-        self._chain_cache: dict[
-            str, tuple[tuple[tuple[str, str], ...], bool]
-        ] = {}
+        self._chain_cache: dict[str, UpwardChain] = {}
         store.subscribe(self._on_update)
         store.subscribe_creations(self._on_creation)
 
@@ -621,9 +619,9 @@ class ShardedParentIndex:
 
     # -- stitched chain memo --------------------------------------------------
 
-    def _upward_chain(
-        self, oid: str
-    ) -> tuple[tuple[tuple[str, str], ...], bool]:
+    def upward_chain(self, oid: str) -> UpwardChain:
+        """:meth:`~repro.gsdb.indexes.ParentIndex.upward_chain`,
+        stitched across shard borders."""
         counters = self._store.counters
         cached = self._chain_cache.get(oid)
         if cached is not None:
@@ -656,56 +654,11 @@ class ShardedParentIndex:
                 )
         return result
 
-    def _scan_chain(
-        self, ancestor: str, descendant: str
-    ) -> tuple[tuple[tuple[str, str], ...], int] | None:
-        chain, stopped_at_multi = self._upward_chain(descendant)
-        if not chain or chain[0][0] != descendant:
-            return None
-        for i, (oid, _label) in enumerate(chain):
-            if oid == ancestor:
-                return chain, i
-        if stopped_at_multi:
-            top = chain[-1][0]
-            raise ValueError(
-                f"object {top!r} has multiple parents; base is not a tree"
-            )
-        return None
-
-    def memoized_path(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        labels = [label for (_oid, label) in chain[:i]]
-        labels.reverse()
-        return labels
-
-    def memoized_chain(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        oids = [entry_oid for (entry_oid, _lab) in chain[: i + 1]]
-        oids.reverse()
-        return oids
-
-    def chain_to_top(self, oid: str) -> tuple[tuple[str, ...], bool]:
-        chain, stopped_at_multi = self._upward_chain(oid)
-        return (
-            tuple(entry_oid for entry_oid, _label in chain),
-            stopped_at_multi,
-        )
-
     def chain_top(self, oid: str) -> str | None:
         """The last OID on *oid*'s upward chain (fail-open forensics:
         the serving invalidator asks whether the walk died at a shard
         border)."""
-        chain, _stopped = self._upward_chain(oid)
+        chain, _stopped = self.upward_chain(oid)
         return chain[-1][0] if chain else None
 
     def chain_cache_size(self) -> int:

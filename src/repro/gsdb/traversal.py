@@ -21,6 +21,9 @@ Counter charging, per function
   the uncharged :meth:`~repro.gsdb.store.ObjectStore.peek`, modelling a
   label check resolved on the already-fetched parent page) plus one
   ``object_reads`` per frontier set-object expanded.
+* :func:`eval_path_condition` — :func:`follow_path`'s charges plus one
+  ``object_reads`` per reached object tested; its ``first_only`` mode
+  stops at the first witness and never charges more.
 * :func:`path_between` / :func:`chain_between` with a
   :class:`~repro.gsdb.indexes.ParentIndex` — delegated to the index's
   memoized chain cache when it has one: a warm chain costs a single
@@ -109,6 +112,8 @@ def eval_path_condition(
     start: str,
     path: Sequence[str],
     cond: ValuePredicate,
+    *,
+    first_only: bool = False,
 ) -> set[str]:
     """The paper's ``eval(N, p, cond)``.
 
@@ -116,14 +121,61 @@ def eval_path_condition(
     *cond*.  Set objects reached by the path never satisfy an atomic
     condition (``cond()`` "accepts a set of atomic objects", Section 2).
     With an empty path, the condition is tested on *start* itself.
+
+    One depth-first walk serves two modes.  By default it returns every
+    witness.  With *first_only* it stops at the first witness and
+    returns a set of at most one OID: the existence test behind
+    Algorithm 1's "delete only when no other derivation remains".  That
+    mode expands children in ascending OID order, so the witness found
+    and the charges paid do not depend on set iteration order.
+
+    Charges per visited node are :func:`follow_path`'s (one
+    ``object_reads`` per object expanded or tested, one
+    ``edge_traversals`` per out-edge examined, one ``object_reads`` per
+    admitted child), so a walk that finds no witness charges exactly
+    what the full evaluation does.  A node reached twice at the same
+    depth (DAG bases) is expanded once, as in the level-by-level walk.
     """
+    peek = getattr(store, "peek", None)
+    counters = store.counters
+    goal = len(path)
     satisfied: set[str] = set()
-    for oid in follow_path(store, start, path):
+    seen: list[set[str]] = [set() for _ in range(goal + 1)]
+    seen[0].add(start)
+    stack: list[tuple[int, str]] = [(0, start)]
+    while stack:
+        depth, oid = stack.pop()
         obj = store.get_optional(oid)
-        if obj is None or obj.is_set:
+        if obj is None:
             continue
-        if cond(obj.atomic_value()):
-            satisfied.add(oid)
+        if depth == goal:
+            if not obj.is_set and cond(obj.atomic_value()):
+                satisfied.add(oid)
+                if first_only:
+                    break
+            continue
+        if not obj.is_set:
+            continue
+        label = path[depth]
+        below = seen[depth + 1]
+        children = obj.children()
+        if first_only:
+            # Reverse-sorted push = ascending pop (see _path_downward).
+            children = sorted(children, reverse=True)
+        for child_oid in children:
+            counters.edge_traversals += 1
+            if peek is not None:
+                child = peek(child_oid)
+                if child is None or child.label != label:
+                    continue
+                counters.object_reads += 1
+            else:
+                child = store.get_optional(child_oid)
+                if child is None or child.label != label:
+                    continue
+            if child_oid not in below:
+                below.add(child_oid)
+                stack.append((depth + 1, child_oid))
     return satisfied
 
 

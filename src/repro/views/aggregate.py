@@ -9,8 +9,12 @@ an aggregate (count / sum / avg / min / max) over the witness values of
 a simple view's members, e.g. "the number of young professors" or "the
 minimum age among them".  It is maintained *incrementally on top of* a
 maintained :class:`~repro.views.materialized.MaterializedView`: the
-aggregate subscribes to the same base store, recomputes only each
-member's contribution when that member's region is touched, and applies
+aggregate handles the same base updates *after* the view's maintainer
+(a store subscription, or — through
+:meth:`~repro.views.catalog.ViewCatalog.define_aggregate` — a
+registration with the catalog's maintenance dispatcher, so batched
+updates arrive post-maintenance too), recomputes only each member's
+contribution when that member's region is touched, and applies
 algebraic deltas.
 
 Incrementality notes (the classic self-maintainability asymmetry):

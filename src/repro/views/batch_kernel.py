@@ -49,8 +49,8 @@ Pipeline (:func:`kernel_dispatch`):
    the kernel computes it once per distinct child with
    :func:`~repro.paths.kernel.reachable_on_snapshot` and shares it
    across all views through :meth:`~repro.views.dispatcher.
-   PathContext.descendants_of` (the interpreted path re-walks it per
-   view).
+   PathContext.descendants_of` (the interpreted path walks it once
+   per batch on first use).
 5. **Apply** — membership deltas apply set-at-a-time *per view*: for
    each view, its relevant updates run through the unchanged
    ``maintainer.handle(update, context)`` in intake order.
@@ -402,7 +402,7 @@ def kernel_dispatch(dispatcher, updates: Sequence[Update], snapshot) -> bool:
     # maintainer handlers, with region memos grafted into the context.
     began = time.perf_counter()
     context = PathContext(store, dispatcher.parent_index, batched=True)
-    context._subtrees = subtrees
+    context._subtrees.update(subtrees)
     for root, region in regions.items():
         # A restricted region's None means "off every select path",
         # not "unreachable": graft only its positive memos, and let

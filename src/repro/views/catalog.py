@@ -281,14 +281,18 @@ class ViewCatalog:
         value_path: tuple[str, ...] | None = None,
     ):
         """Define an incrementally maintained aggregate (§6 open issue 2)
-        over an existing materialized view named *over*."""
+        over an existing materialized view named *over*.
+
+        The aggregate is registered with the dispatcher after *over*'s
+        maintainer, so it sees every update — single or from a batch —
+        only once the view has been maintained for it."""
         from repro.views.aggregate import AggregateView
 
         view = self.materialized_views.get(over)
         if view is None:
             raise ViewError(f"no materialized view named {over!r}")
-        return AggregateView(
-            name, view, kind, value_path=value_path, subscribe=True
+        return self.dispatcher.register(
+            AggregateView(name, view, kind, value_path=value_path)
         )
 
     def define_multipath(
@@ -535,12 +539,6 @@ class ViewCatalog:
         :func:`~repro.views.dispatcher.screen_replayed` before
         application, so at-least-once delivery upstream cannot trigger
         ``InvalidUpdateError`` double-apply failures.
-
-        Limitation: :class:`~repro.views.aggregate.AggregateView`
-        instances subscribe to the base store directly and therefore
-        observe batched updates against not-yet-maintained membership;
-        call their ``refresh_all()`` after a batch that may affect
-        their underlying view.
         """
         fresh = screen_replayed(
             self.store, updates, counters=self.store.counters

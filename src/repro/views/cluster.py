@@ -19,6 +19,8 @@ shared delegate cannot be swizzled per-view.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.errors import ViewError
 from repro.gsdb.object import Object
 from repro.gsdb.oid import delegate_oid
@@ -153,6 +155,9 @@ class ClusterMemberView:
 
     def contains(self, base_oid: str) -> bool:
         return base_oid in self._members
+
+    def members_in(self, oids: Iterable[str]) -> list[str]:
+        return sorted(self._members.intersection(oids))
 
     def delegates(self) -> set[str]:
         return set(self.view_object.children())

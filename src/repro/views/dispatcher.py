@@ -66,9 +66,9 @@ screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     treat a batched delete specially (see
     ``SimpleViewMaintainer._membership_after_delete`` /
     ``ExtendedViewMaintainer._on_edge_change``): they purge every view
-    member found in the deleted child's final-state subtree by direct
-    ``contains`` inspection — complete where witness-driven discovery
-    under-approximates — and skip the no-lost-witness shortcut before
+    member found in the deleted child's final-state subtree (walked
+    once per batch, intersected with each view's members) — complete
+    where witness-driven discovery under-approximates — and skip the no-lost-witness shortcut before
     re-evaluating the surviving ancestor.  Members moved out of the
     subtree mid-batch are covered inductively: whatever op moved them
     is itself in the batch and dispatched in order.  Screens likewise
@@ -86,9 +86,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
-from repro.gsdb.indexes import ParentIndex
+from repro.gsdb.indexes import (
+    ParentIndex,
+    UpwardChain,
+    labels_between,
+    oids_between,
+)
 from repro.gsdb.store import ObjectStore
-from repro.gsdb.traversal import chain_between, path_between
+from repro.gsdb.traversal import chain_between, descendants, path_between
 from repro.gsdb.updates import Delete, Insert, Modify, Update
 from repro.paths.expression import LabelSegment, PathExpression
 from repro.paths.path import Path
@@ -98,13 +103,22 @@ from repro.views.maintenance import SimpleViewMaintainer
 
 
 class PathContext:
-    """Per-update memo of root chains, shared across maintainers.
+    """Per-update (or per-batch) memo shared across maintainers.
 
-    All lookups are keyed ``(root, oid)`` so views with different entry
-    points share nothing by accident.  Labels are resolved through the
-    store's uncharged ``peek`` when it has one (screening must not
-    charge base accesses); remote store shims without a free ``peek``
-    fall back to the charged lookup.
+    Three memos serve every registered view:
+
+    * one upward chain per OID (:meth:`ParentIndex.upward_chain
+      <repro.gsdb.indexes.ParentIndex.upward_chain>`), from which
+      :meth:`path_between`, :meth:`chain_between` and :meth:`chain_set`
+      answer every entry point — views with different roots pay for
+      one walk, not one chain scan each;
+    * the answers themselves, keyed ``(root, oid)``;
+    * one final-state subtree per batched-delete child
+      (:meth:`descendants_of`), walked once per batch, not per view.
+
+    Labels are resolved through the store's uncharged ``peek`` when it
+    has one (screening must not charge base accesses); remote store
+    shims without a free ``peek`` fall back to the charged lookup.
 
     A context may serve a whole batch *only after* the batch has been
     fully applied to the base: every memoized answer reflects the final
@@ -128,9 +142,10 @@ class PathContext:
         self._paths: dict[tuple[str, str], list[str] | None] = {}
         self._chains: dict[tuple[str, str], list[str] | None] = {}
         self._chain_sets: dict[str, tuple[frozenset[str], bool]] = {}
-        #: oid -> final-state subtree (exclusive), precomputed by the
-        #: batch kernel's region sweep; None when not batch-kernel-fed.
-        self._subtrees: dict[str, set[str]] | None = None
+        self._upward: dict[str, UpwardChain] = {}
+        #: oid -> final-state subtree (exclusive); the batch kernel may
+        #: pre-fill it from its snapshot sweep.
+        self._subtrees: dict[str, set[str]] = {}
 
     def label(self, oid: str) -> str | None:
         """The label of *oid*, or None when absent (uncharged)."""
@@ -140,22 +155,43 @@ class PathContext:
             self._labels[oid] = None if obj is None else obj.label
         return self._labels[oid]
 
+    def _upward_chain(self, oid: str) -> UpwardChain:
+        """*oid*'s upward chain, walked once per context."""
+        upward = self._upward.get(oid)
+        if upward is None:
+            upward = self._upward[oid] = self.parent_index.upward_chain(oid)
+        return upward
+
     def path_between(self, root: str, oid: str) -> list[str] | None:
-        """Memoized ``path(root, oid)`` — callers must not mutate."""
+        """Memoized ``path(root, oid)`` — callers must not mutate.
+
+        Raises ValueError, like :func:`~repro.gsdb.traversal.
+        path_between`, when the upward walk stops at a multi-parent
+        node before reaching *root*."""
         key = (root, oid)
         if key not in self._paths:
-            self._paths[key] = path_between(
-                self.store, root, oid, parent_index=self.parent_index
-            )
+            if root == oid or self.parent_index is None:
+                self._paths[key] = path_between(
+                    self.store, root, oid, parent_index=self.parent_index
+                )
+            else:
+                self._paths[key] = labels_between(
+                    self._upward_chain(oid), root, oid
+                )
         return self._paths[key]
 
     def chain_between(self, root: str, oid: str) -> list[str] | None:
         """Memoized OID chain ``[root, ..., oid]`` — do not mutate."""
         key = (root, oid)
         if key not in self._chains:
-            self._chains[key] = chain_between(
-                self.store, root, oid, parent_index=self.parent_index
-            )
+            if root == oid or self.parent_index is None:
+                self._chains[key] = chain_between(
+                    self.store, root, oid, parent_index=self.parent_index
+                )
+            else:
+                self._chains[key] = oids_between(
+                    self._upward_chain(oid), root, oid
+                )
         return self._chains[key]
 
     def chain_set(self, oid: str) -> tuple[frozenset[str], bool] | None:
@@ -172,19 +208,22 @@ class PathContext:
         if self.parent_index is None:
             return None
         if oid not in self._chain_sets:
-            oids, stopped = self.parent_index.chain_to_top(oid)
-            self._chain_sets[oid] = (frozenset(oids), stopped)
+            chain, stopped = self._upward_chain(oid)
+            self._chain_sets[oid] = (
+                frozenset(entry_oid for entry_oid, _label in chain),
+                stopped,
+            )
         return self._chain_sets[oid]
 
-    def descendants_of(self, oid: str) -> set[str] | None:
-        """The final-state subtree below *oid* (exclusive), when a
-        batch kernel precomputed it from one snapshot sweep; None sends
-        the caller down the interpreted ``descendants`` walk.  Shared
-        by every view purging the same batched-delete subtree —
-        callers must not mutate."""
-        if self._subtrees is None:
-            return None
-        return self._subtrees.get(oid)
+    def descendants_of(self, oid: str) -> set[str]:
+        """The final-state subtree below *oid* (exclusive), walked once
+        per context (or pre-filled by the batch kernel's snapshot
+        sweep) and shared by every view purging the same
+        batched-delete subtree — callers must not mutate."""
+        subtree = self._subtrees.get(oid)
+        if subtree is None:
+            subtree = self._subtrees[oid] = descendants(self.store, oid)
+        return subtree
 
 
 # ---------------------------------------------------------------------------

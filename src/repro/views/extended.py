@@ -201,19 +201,19 @@ class ExtendedViewMaintainer:
     def _purge_members_below(self, child_oid: str) -> None:
         """Evict every view member in *child_oid*'s current subtree.
 
-        A batch kernel may have precomputed the subtree from one
-        snapshot sweep (shared across views through
-        :meth:`~repro.views.dispatcher.PathContext.descendants_of`);
-        otherwise walk the base interpreted."""
+        A :class:`~repro.views.dispatcher.PathContext` walks each
+        subtree once per batch and shares it across views
+        (:meth:`~repro.views.dispatcher.PathContext.descendants_of`);
+        a context without that memo walks the base here."""
         if self.view.contains(child_oid):
             self.view.v_delete(child_oid)
         lookup = getattr(self._context, "descendants_of", None)
-        subtree = lookup(child_oid) if lookup is not None else None
-        if subtree is None:
+        if lookup is not None:
+            subtree = lookup(child_oid)
+        else:
             subtree = descendants(self.base, child_oid)
-        for oid in sorted(subtree):
-            if self.view.contains(oid):
-                self.view.v_delete(oid)
+        for oid in self.view.members_in(subtree):
+            self.view.v_delete(oid)
 
     def _on_modify(self, update: Modify) -> None:
         try:

@@ -162,6 +162,17 @@ class SimpleViewMaintainer:
         """``eval(N, p, cond)`` — witnesses of the condition under N."""
         return eval_path_condition(self.base, oid, path.labels, self.cond)
 
+    def _has_witness(self, oid: str, path: Path) -> bool:
+        """``eval(N, p, cond) != ∅`` — stops at the first witness.
+
+        Algorithm 1's delete and modify re-checks only ask whether some
+        derivation remains, never which ones."""
+        return bool(
+            eval_path_condition(
+                self.base, oid, path.labels, self.cond, first_only=True
+            )
+        )
+
     # -- insert -------------------------------------------------------------
 
     def _on_insert(self, update: Insert) -> None:
@@ -243,30 +254,30 @@ class SimpleViewMaintainer:
         if not batched:
             # No witness was lost => Y unaffected.  Only sound when the
             # subtree still is as it was the moment the edge was cut.
-            if not self._eval(child, remainder):
+            if not self._has_witness(child, remainder):
                 return
         target = self._surviving_ancestor(update.parent)
         if target is None:
             return
-        if not self._eval(target, self.cond_path):
+        if not self._has_witness(target, self.cond_path):
             self.view.v_delete(target)
 
     def _purge_members_below(self, child_oid: str) -> None:
         """Evict every view member in *child_oid*'s current subtree.
 
-        A batch kernel may have precomputed the subtree from one
-        snapshot sweep (shared across views through
-        :meth:`~repro.views.dispatcher.PathContext.descendants_of`);
-        otherwise walk the base interpreted."""
+        A :class:`~repro.views.dispatcher.PathContext` walks each
+        subtree once per batch and shares it across views
+        (:meth:`~repro.views.dispatcher.PathContext.descendants_of`);
+        a context without that memo walks the base here."""
         if self.view.contains(child_oid):
             self.view.v_delete(child_oid)
         lookup = getattr(self._context, "descendants_of", None)
-        subtree = lookup(child_oid) if lookup is not None else None
-        if subtree is None:
+        if lookup is not None:
+            subtree = lookup(child_oid)
+        else:
             subtree = descendants(self.base, child_oid)
-        for oid in sorted(subtree):
-            if self.view.contains(oid):
-                self.view.v_delete(oid)
+        for oid in self.view.members_in(subtree):
+            self.view.v_delete(oid)
 
     def _surviving_ancestor(self, parent_oid: str) -> str | None:
         """The Y above the deleted edge: the node at depth |sel_path| on
@@ -305,7 +316,7 @@ class SimpleViewMaintainer:
         if self.cond(update.new_value):
             self.view.v_insert(target)
         elif self.cond(update.old_value):
-            if not self._eval(target, self.cond_path):
+            if not self._has_witness(target, self.cond_path):
                 self.view.v_delete(target)
 
     # -- shared helpers -------------------------------------------------------

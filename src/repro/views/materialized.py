@@ -116,6 +116,11 @@ class MaterializedView:
     def contains(self, base_oid: str) -> bool:
         return base_oid in self._members
 
+    def members_in(self, oids: Iterable[str]) -> list[str]:
+        """The members among *oids*, sorted: one set intersection
+        instead of a :meth:`contains` probe per OID."""
+        return sorted(self._members.intersection(oids))
+
     def delegates(self) -> set[str]:
         """OIDs of all delegate objects (the view object's value)."""
         return set(self.view_object.children())

@@ -20,7 +20,7 @@ covers the select-path side of the paper's remark.)
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ViewDefinitionError
 from repro.gsdb.indexes import ParentIndex
@@ -48,6 +48,12 @@ class _Branch:
 
     def contains(self, base_oid: str) -> bool:
         return self.index in self.parent.support.get(base_oid, ())
+
+    def members_in(self, oids: Iterable[str]) -> list[str]:
+        support = self.parent.support
+        return sorted(
+            oid for oid in support.keys() & oids if self.index in support[oid]
+        )
 
     def v_insert(self, base_oid: str) -> bool:
         return self.parent._branch_insert(self.index, base_oid)

@@ -54,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.errors import UnknownObjectError
+from repro.gsdb.indexes import ChainLookups, UpwardChain
 from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Update
@@ -90,14 +91,14 @@ class _ShardReadView:
         return obj
 
 
-class _ShardIndexView:
+class _ShardIndexView(ChainLookups):
     """Parent-index facade for one screening task.
 
     Mirrors the lookup surface screening reaches (``parent`` /
     ``parents`` / ``memoized_path`` / ``memoized_chain`` /
     ``chain_to_top``) over *uncharged* reads of the real index's maps,
     charging the walk to the task's private counters with the same
-    pattern as :meth:`~repro.gsdb.indexes.ParentIndex._upward_chain`
+    pattern as :meth:`~repro.gsdb.indexes.ParentIndex.upward_chain`
     (one read + probe per node, one traversal per hop, a private chain
     memo with suffix caching).  The real index's memo is neither read
     nor written — it stays race-free and is warmed later by the merge.
@@ -109,9 +110,7 @@ class _ShardIndexView:
         self._index = index
         self._store = store
         self.counters = counters
-        self._chain_cache: dict[
-            str, tuple[tuple[tuple[str, str], ...], bool]
-        ] = {}
+        self._chain_cache: dict[str, UpwardChain] = {}
 
     def _parents_uncharged(self, oid: str) -> set[str]:
         index = self._index
@@ -139,9 +138,7 @@ class _ShardIndexView:
             )
         return next(iter(parents))
 
-    def _upward_chain(
-        self, oid: str
-    ) -> tuple[tuple[tuple[str, str], ...], bool]:
+    def upward_chain(self, oid: str) -> UpwardChain:
         counters = self.counters
         cached = self._chain_cache.get(oid)
         if cached is not None:
@@ -174,51 +171,6 @@ class _ShardIndexView:
                 entries[i][0], (result[0][i:], stopped_at_multi)
             )
         return result
-
-    def _scan_chain(
-        self, ancestor: str, descendant: str
-    ) -> tuple[tuple[tuple[str, str], ...], int] | None:
-        chain, stopped_at_multi = self._upward_chain(descendant)
-        if not chain or chain[0][0] != descendant:
-            return None
-        for i, (oid, _label) in enumerate(chain):
-            if oid == ancestor:
-                return chain, i
-        if stopped_at_multi:
-            top = chain[-1][0]
-            raise ValueError(
-                f"object {top!r} has multiple parents; base is not a tree"
-            )
-        return None
-
-    def memoized_path(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        labels = [label for (_oid, label) in chain[:i]]
-        labels.reverse()
-        return labels
-
-    def memoized_chain(
-        self, ancestor: str, descendant: str
-    ) -> list[str] | None:
-        located = self._scan_chain(ancestor, descendant)
-        if located is None:
-            return None
-        chain, i = located
-        oids = [entry_oid for (entry_oid, _lab) in chain[: i + 1]]
-        oids.reverse()
-        return oids
-
-    def chain_to_top(self, oid: str) -> tuple[tuple[str, ...], bool]:
-        chain, stopped_at_multi = self._upward_chain(oid)
-        return (
-            tuple(entry_oid for entry_oid, _label in chain),
-            stopped_at_multi,
-        )
 
 
 class _ShardScreenTask:

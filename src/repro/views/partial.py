@@ -81,6 +81,9 @@ class PartialMaterializedView:
     def contains(self, base_oid: str) -> bool:
         return base_oid in self._members
 
+    def members_in(self, oids: Iterable[str]) -> list[str]:
+        return sorted(self._members.intersection(oids))
+
     def delegates(self) -> set[str]:
         return set(self.view_object.children())
 

@@ -343,6 +343,12 @@ class RemoteViewMaintainer(SimpleViewMaintainer):
                 return witnesses
         return super()._eval(oid, path)
 
+    def _has_witness(self, oid: str, path: Path) -> bool:
+        # Full evaluation: the region cache answers whole witness sets,
+        # and a source query costs one message however early a local
+        # walk could stop.
+        return bool(self._eval(oid, path))
+
     def _path_from_root(self, oid: str) -> Path | None:
         # Level 3 ships path(ROOT, N) for the directly affected objects;
         # the cached region can reconstruct it for any cached object;

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from tests.property.support import common_settings
 
 from repro.gsdb import ObjectStore, ParentIndex
+from repro.gsdb.traversal import chain_between, descendants, path_between
 from repro.gsdb.updates import Delete, Insert, Modify
 from repro.views import (
     ExtendedViewMaintainer,
@@ -387,6 +388,90 @@ class TestPathContext:
         delta = store.counters.delta_since(snapshot)
         assert second == first
         assert delta.total_base_accesses() == 0
+
+    def test_memoized_paths_match_unshared_for_every_root(self):
+        store, _root = random_labelled_tree(
+            nodes=40, labels=("a", "b", "c"), seed=11
+        )
+        index = ParentIndex(store)
+        context = PathContext(store, index)
+        oids = sorted(store.oids())
+        for oid in oids:
+            for root in oids:
+                assert context.path_between(root, oid) == path_between(
+                    store, root, oid, parent_index=index
+                )
+                assert context.chain_between(root, oid) == chain_between(
+                    store, root, oid, parent_index=index
+                )
+        # Non-ancestors answer None, not an empty path.
+        assert any(
+            context.path_between(root, oids[0]) is None for root in oids
+        )
+
+    def test_one_upward_chain_per_oid_serves_every_root(self):
+        store, root = random_labelled_tree(
+            nodes=40, labels=("a", "b", "c"), seed=11
+        )
+        index = ParentIndex(store, chain_cache=False)
+        context = PathContext(store, index)
+        leaf = max(
+            store.oids(), key=lambda oid: len(context.chain_between(root, oid))
+        )
+        chain = context.chain_between(root, leaf)
+        assert len(chain) > 2
+        snapshot = store.counters.snapshot()
+        for ancestor in chain:
+            context.path_between(ancestor, leaf)
+        delta = store.counters.delta_since(snapshot)
+        assert delta.total_base_accesses() == 0
+        assert delta.index_probes == 0
+
+    def test_multi_parent_walk_raises_like_unshared(self):
+        store = ObjectStore()
+        store.add_tree(
+            ("ROOT", "root", [("X", "x", []), ("Y", "y", [])])
+        )
+        store.add_atomic("W", "w", 1)
+        store.add_set("Z", "z", ["W"])
+        store.insert_edge("X", "Z")
+        store.insert_edge("Y", "Z")  # Z has two parents
+        index = ParentIndex(store)
+        context = PathContext(store, index)
+        assert context.path_between("Z", "W") == ["w"]
+        for root in ("ROOT", "X"):
+            with pytest.raises(ValueError, match="not a tree"):
+                path_between(store, root, "W", parent_index=index)
+            with pytest.raises(ValueError, match="not a tree"):
+                context.path_between(root, "W")
+            with pytest.raises(ValueError, match="not a tree"):
+                context.chain_between(root, "W")
+
+    @pytest.mark.parametrize("views", [1, 4])
+    def test_batched_delete_walks_subtree_once(self, views):
+        catalog = ViewCatalog()
+        leaves = [(f"B{i}", "b", [(f"C{i}", "c", i)]) for i in range(12)]
+        catalog.store.add_tree(("ROOT", "root", [("A", "a", leaves)]))
+        for i in range(views):
+            catalog.define(f"define mview V{i} as: SELECT ROOT.a.b X")
+        replica = ObjectStore()
+        replica.add_tree(("ROOT", "root", [("A", "a", leaves)]))
+        before = replica.counters.edge_traversals
+        descendants(replica, "A")
+        subtree_walk = replica.counters.edge_traversals - before
+        assert subtree_walk == 24
+
+        assert all(len(catalog.materialized_views[f"V{i}"]) == 12
+                   for i in range(views))
+        s = catalog.store
+        snapshot = s.counters.snapshot()
+        catalog.apply_batch([Delete("ROOT", "A")])
+        delta = s.counters.delta_since(snapshot)
+        # Every view purges A's subtree; the walk is shared.
+        assert delta.edge_traversals == subtree_walk
+        assert all(len(catalog.materialized_views[f"V{i}"]) == 0
+                   for i in range(views))
+        assert all(r.ok for r in catalog.check_all().values())
 
     def test_label_lookup_is_uncharged(self):
         store = ObjectStore()
