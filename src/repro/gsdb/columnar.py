@@ -26,6 +26,26 @@ delta (or the accumulated patch overlay) grows past
 instead — delta cost is proportional to the delta, rebuild cost to the
 graph, and the threshold picks whichever is cheaper.
 
+Views store their extents in the store itself (``V_insert`` /
+``V_delete``, Section 4.3), and that churn is delta too:
+
+* **Re-creation.**  A removed OID re-created with its old label — a
+  delegate re-entering its view under its semantic OID — revives its
+  tombstoned row in place: the alive bit is set again, the value cell
+  rewritten and the row's adjacency replaced in the patch overlay.
+  ``oid_of``/``label_of``/``row_of`` do not change.  Only a re-creation
+  under a new label (or over a live row) forces a rebuild.
+* **Relink events.**  A view's edge edits on its own objects (delegate
+  links, swizzling, annotations) go through
+  :meth:`~repro.gsdb.store.ObjectStore.relink`, which listeners receive
+  as an ordered event; replay applies it exactly like a logged
+  insert/delete.
+* **Rewrite events.**  A wholesale value rewrite (delegate refresh,
+  virtual-view re-evaluation, aggregate publication) is announced by
+  :meth:`~repro.gsdb.store.ObjectStore.rewrote`; the snapshot collects
+  the OIDs and re-images each row from the store's current state at
+  refresh.
+
 Soundness (the staleness guard): every reader goes through
 :meth:`current`, which either brings the snapshot fully up to date
 (one atomic synchronous refresh; the store cannot change mid-refresh
@@ -33,9 +53,9 @@ in this single-threaded design) or returns ``None`` — and a ``None``
 makes the caller fall back to the interpreted path, charging
 ``kernel_fallbacks``.  There is no code path that serves rows from a
 snapshot whose ``log_position`` trails the store's log or that has
-unapplied creation/removal events.  Re-creating a previously removed
-OID is the one event delta replay refuses to patch (old CSR edges
-reference the tombstoned row); it flags a full rebuild instead.
+unapplied events: when replay meets an event the overlay cannot
+express (a re-creation under a new label, an unknown parent), the same
+refresh rebuilds.
 
 Sharding: :class:`ShardedColumnarSnapshot` keeps one per-shard snapshot
 (each seeing only its shard's objects and intra-shard edges; edges to
@@ -43,10 +63,13 @@ other shards are *not* pended) and stitches them into a global-row
 :class:`ShardedSnapshotView` using the store's
 :class:`~repro.gsdb.sharding.BorderIndex` for cross-shard edges.  Any
 border mutation bumps at least one shard's event/log stream, so the
-tuple of shard epochs fingerprints the stitched view.  With
-``stitch_borders=False`` the facade refuses to serve
-(``current() is None``) and every reader degrades fail-open to the
-interpreted path, exactly as the unstitched parent index does.
+tuple of shard epochs fingerprints the stitched view.  Relinks and
+rewrites reach the owning shard's snapshot; a relinked edge to a child
+on another shard is not in the border index, so such view edges stay
+outside the stitched snapshot.  With ``stitch_borders=False`` the
+facade refuses to serve (``current() is None``) and every reader
+degrades fail-open to the interpreted path, exactly as the unstitched
+parent index does.
 
 Work is charged in the kernel's own currency: ``snapshot_refreshes``
 per epoch advanced, ``snapshot_rows_scanned`` per row touched by
@@ -58,13 +81,16 @@ MVCC-by-epoch (experiment E20): :meth:`ColumnarSnapshot.freeze`
 captures the snapshot's exact current state as an immutable
 :class:`EpochView` — columns that only ever grow or get replaced
 (``oid_of``/``label_of``/``row_of``/CSR arrays) are shared with a row
-clamp, columns mutated in place (the alive bitset, the patch overlay,
-the value column) are copied — so concurrent readers can keep
-evaluating on a frozen epoch while the live snapshot refreshes
-underneath them.  Atomic *values* are imaged alongside structure
-(``value_of``; ``modify`` replay writes the cell in place, uncharged —
-a column write, not a row scan) so WHERE conditions evaluate on the
-frozen epoch without touching the live store.
+clamp; the patch overlay is shared **copy-on-write** (the live
+snapshot copies the overlay dict on its first write after a freeze,
+and a row's adjacency only the first time it touches that row), so
+publishing costs the rows a batch touched, not the whole overlay; the
+alive bitset and the value column are copied — so concurrent readers
+can keep evaluating on a frozen epoch while the live snapshot
+refreshes underneath them.  Atomic *values* are imaged alongside
+structure (``value_of``; ``modify`` replay writes the cell in place,
+uncharged — a column write, not a row scan) so WHERE conditions
+evaluate on the frozen epoch without touching the live store.
 :class:`SnapshotRetention` keeps a ring of recently published epochs
 with pin-counted reclamation: a pinned epoch is never reclaimed
 (explicit reclaim raises :class:`~repro.errors.PinnedEpochError`;
@@ -80,16 +106,24 @@ from typing import Callable, Iterable, Sequence
 from repro.errors import PinnedEpochError
 from repro.gsdb.object import Object
 from repro.gsdb.store import ObjectStore
-from repro.gsdb.updates import Delete, Insert, Modify, Update
+from repro.gsdb.updates import Insert, Modify, Update
 
-#: Queued creation/removal event: (kind, oid, label, is_set, children,
-#: atomic value, log position at event time).  Removals carry no
-#: label/children/value; set objects carry ``_SET_VALUE``.
-_Event = tuple[str, str, str, bool, tuple[str, ...], object, int]
+#: Queued out-of-log event: (kind, oid, detail, log position at event
+#: time).  Kinds: ``"c"`` creation (detail: the object's
+#: :func:`_image_of` at creation), ``"r"`` removal (detail None),
+#: ``"+"``/``"-"`` relink of child *detail* under parent *oid*.
+_Event = tuple[str, str, object, int]
 
 #: Sentinel stored in the value column for set-typed rows (atomic
 #: values can legitimately be any scalar, including falsy ones).
 _SET_VALUE = object()
+
+
+def _image_of(obj: Object) -> tuple[str, bool, tuple[str, ...], object]:
+    """*obj*'s row image: label, is_set, sorted children, value cell."""
+    if obj.is_set:
+        return obj.label, True, tuple(sorted(obj.children())), _SET_VALUE
+    return obj.label, False, (), obj.atomic_value()
 
 
 class ColumnarSnapshot:
@@ -151,6 +185,12 @@ class ColumnarSnapshot:
         #: row -> {label -> set of child rows}: full adjacency override
         #: for rows touched since the last CSR build.
         self._patched: dict[int, dict[str, set[int]]] = {}
+        #: Copy-on-write state of the overlay: True while a frozen
+        #: epoch shares the ``_patched`` dict itself; ``_private`` holds
+        #: the rows whose adjacency was copied since the last freeze
+        #: (None: no freeze since the last build, every row is private).
+        self._overlay_shared = False
+        self._private: set[int] | None = None
         #: rowless child OID -> parent rows whose value references it.
         self._pending: dict[str, set[int]] = {}
         # -- staleness bookkeeping ----------------------------------------
@@ -158,34 +198,37 @@ class ColumnarSnapshot:
         self._needs_rebuild = False
         self._log_pos = 0
         self._events: list[_Event] = []
+        #: OIDs whose value was rewritten wholesale since the last refresh.
+        self._rewritten: set[str] = set()
         store.subscribe_creations(self._on_creation)
         store.subscribe_removals(self._on_removal)
+        store.subscribe_relinks(self._on_relink)
+        store.subscribe_rewrites(self._on_rewrite)
 
-    # -- event capture (creations/removals bypass the update log) ---------
+    # -- event capture (all of it bypasses the update log) ----------------
 
     def _on_creation(self, obj: Object) -> None:
         if not self._built:
             return
-        children = tuple(sorted(obj.children())) if obj.is_set else ()
-        value = _SET_VALUE if obj.is_set else obj.atomic_value()
         self._events.append(
-            (
-                "c",
-                obj.oid,
-                obj.label,
-                obj.is_set,
-                children,
-                value,
-                len(self._store.log),
-            )
+            ("c", obj.oid, _image_of(obj), len(self._store.log))
         )
 
     def _on_removal(self, obj: Object) -> None:
         if not self._built:
             return
+        self._events.append(("r", obj.oid, None, len(self._store.log)))
+
+    def _on_relink(self, parent: str, child: str, linked: bool) -> None:
+        if not self._built:
+            return
         self._events.append(
-            ("r", obj.oid, "", False, (), None, len(self._store.log))
+            ("+" if linked else "-", parent, child, len(self._store.log))
         )
+
+    def _on_rewrite(self, oid: str) -> None:
+        if self._built:
+            self._rewritten.add(oid)
 
     # -- freshness ---------------------------------------------------------
 
@@ -199,6 +242,7 @@ class ColumnarSnapshot:
             self._built
             and not self._needs_rebuild
             and not self._events
+            and not self._rewritten
             and self._log_pos == len(self._store.log)
         )
 
@@ -227,10 +271,19 @@ class ColumnarSnapshot:
     # -- refresh -----------------------------------------------------------
 
     def refresh(self) -> "ColumnarSnapshot":
-        """Bring the snapshot up to date (delta replay or full rebuild)."""
+        """Bring the snapshot up to date (delta replay or full rebuild).
+
+        Always leaves the snapshot fresh: when delta replay meets an
+        event the overlay cannot express, the rebuild runs in the same
+        call.
+        """
         if self.is_fresh():
             return self
-        delta = (len(self._store.log) - self._log_pos) + len(self._events)
+        delta = (
+            (len(self._store.log) - self._log_pos)
+            + len(self._events)
+            + len(self._rewritten)
+        )
         threshold = self.rebuild_threshold * max(1, self.nrows)
         if self._needs_rebuild or not self._built or delta > threshold:
             self._rebuild()
@@ -240,7 +293,10 @@ class ColumnarSnapshot:
             self.delta_refreshes += 1
             # Compact when the overlay outgrows the threshold: gather
             # stays slice-speed only while patches/tombstones are rare.
-            if len(self._patched) + self._dead > threshold:
+            if (
+                self._needs_rebuild
+                or len(self._patched) + self._dead > threshold
+            ):
                 self._rebuild()
                 self.full_rebuilds += 1
         self.epoch += 1
@@ -273,6 +329,8 @@ class ColumnarSnapshot:
         self._alive = bytearray(b"\xff" * ((nrows + 7) >> 3))
         self._dead = 0
         self._patched = {}
+        self._overlay_shared = False
+        self._private = None
         self._pending = {}
         # CSR build: count pass, prefix sums, fill pass — all array('I').
         zeros = bytes(4 * (nrows + 1))
@@ -336,6 +394,7 @@ class ColumnarSnapshot:
         self._built = True
         self._needs_rebuild = False
         self._events = []
+        self._rewritten = set()
         self._log_pos = len(store.log)
         self.counters.snapshot_rows_scanned += nrows + edges
 
@@ -348,7 +407,7 @@ class ColumnarSnapshot:
         ei = 0
         pos = self._log_pos
         for update in updates:
-            while ei < len(events) and events[ei][6] <= pos:
+            while ei < len(events) and events[ei][3] <= pos:
                 self._apply_event(events[ei])
                 ei += 1
             self._apply_update(update)
@@ -357,10 +416,35 @@ class ColumnarSnapshot:
             self._apply_event(events[ei])
             ei += 1
         self._log_pos = len(self._store.log)
+        if self._rewritten:
+            # Re-imaged from the store's current state, which is the
+            # state every replayed event above has led to.
+            for oid in sorted(self._rewritten):
+                self._reimage(oid)
+            self._rewritten = set()
+
+    # -- the patch overlay, copy-on-write against frozen epochs ---------------
+
+    def _overlay(self) -> dict[int, dict[str, set[int]]]:
+        """The patch overlay for writing: copied first (top level only)
+        when a frozen epoch still shares it."""
+        if self._overlay_shared:
+            self._patched = dict(self._patched)
+            self._overlay_shared = False
+        return self._patched
+
+    def _share_overlay(self) -> dict[int, dict[str, set[int]]]:
+        """Hand the overlay to a frozen epoch: the next write copies the
+        dict, and each row's adjacency is copied on its first write."""
+        self._overlay_shared = True
+        self._private = set()
+        return self._patched
 
     def _adjacency_of(self, row: int) -> dict[str, set[int]]:
-        """Materialize *row*'s adjacency into the patch overlay."""
-        adj = self._patched.get(row)
+        """*row*'s adjacency in the patch overlay, writable."""
+        patched = self._overlay()
+        private = self._private
+        adj = patched.get(row)
         if adj is None:
             adj = {}
             if row < self._csr_rows:
@@ -369,8 +453,83 @@ class ColumnarSnapshot:
                 for crow in tgt[off[row] : off[row + 1]]:
                     adj.setdefault(label_of[crow], set()).add(crow)
                 self.counters.snapshot_rows_scanned += 1
-            self._patched[row] = adj
+        elif private is None or row in private:
+            return adj
+        else:
+            adj = {label: set(bucket) for label, bucket in adj.items()}
+        patched[row] = adj
+        if private is not None:
+            private.add(row)
         return adj
+
+    def _set_adjacency(
+        self, row: int, children: Iterable[str], *, is_set: bool
+    ) -> None:
+        """Replace *row*'s adjacency with edges to *children* (OIDs,
+        sorted); rowless children pend.  An atomic row gets an overlay
+        entry only when it must hide edges a previous image gave it."""
+        row_of = self.row_of
+        label_of = self.label_of
+        adj: dict[str, set[int]] = {}
+        for child in children:
+            crow = row_of.get(child)
+            if crow is None:
+                if not self._is_external(child):
+                    self._pending.setdefault(child, set()).add(row)
+                continue
+            adj.setdefault(label_of[crow], set()).add(crow)
+        if not is_set and row not in self._patched:
+            if row >= self._csr_rows:
+                return
+            off = self._all_csr[0]
+            if off[row] == off[row + 1]:
+                return
+        self._overlay()[row] = adj
+        if self._private is not None:
+            self._private.add(row)
+
+    def _forget_pending_parent(self, row: int) -> None:
+        """Drop *row* from every pending list: its value is about to be
+        re-imaged, so edges it once waited to resolve no longer hold."""
+        pending = self._pending
+        if not pending:
+            return
+        for child in [c for c, rows in pending.items() if row in rows]:
+            rows = pending[child]
+            rows.discard(row)
+            if not rows:
+                del pending[child]
+
+    def _link(self, parent: str, child: str, linked: bool) -> None:
+        """Add or drop the edge *parent* → *child* (a logged insert or
+        delete, or a relink)."""
+        prow = self.row_of.get(parent)
+        if prow is None:
+            # The parent predates the snapshot's event stream (should be
+            # impossible); refuse to guess and rebuild.
+            self._needs_rebuild = True
+            return
+        crow = self.row_of.get(child)
+        self.counters.snapshot_rows_scanned += 1
+        if crow is None:
+            if self._is_external(child):
+                return
+            if linked:
+                self._pending.setdefault(child, set()).add(prow)
+            else:
+                parents = self._pending.get(child)
+                if parents is not None:
+                    parents.discard(prow)
+                    if not parents:
+                        del self._pending[child]
+            return
+        adj = self._adjacency_of(prow)
+        if linked:
+            adj.setdefault(self.label_of[crow], set()).add(crow)
+        else:
+            children = adj.get(self.label_of[crow])
+            if children is not None:
+                children.discard(crow)
 
     def _apply_update(self, update: Update) -> None:
         if isinstance(update, Modify):
@@ -383,78 +542,89 @@ class ColumnarSnapshot:
             if row is not None:
                 self.value_of[row] = update.new_value
             return
-        prow = self.row_of.get(update.parent)
-        if prow is None:
-            # The parent predates the snapshot's event stream (should be
-            # impossible); refuse to guess and rebuild.
-            self._needs_rebuild = True
-            return
-        crow = self.row_of.get(update.child)
-        self.counters.snapshot_rows_scanned += 1
-        if isinstance(update, Insert):
-            if crow is None:
-                if not self._is_external(update.child):
-                    self._pending.setdefault(update.child, set()).add(prow)
-                return
-            adj = self._adjacency_of(prow)
-            adj.setdefault(self.label_of[crow], set()).add(crow)
-        elif isinstance(update, Delete):
-            if crow is None:
-                if not self._is_external(update.child):
-                    parents = self._pending.get(update.child)
-                    if parents is not None:
-                        parents.discard(prow)
-                        if not parents:
-                            del self._pending[update.child]
-                return
-            adj = self._adjacency_of(prow)
-            children = adj.get(self.label_of[crow])
-            if children is not None:
-                children.discard(crow)
+        self._link(update.parent, update.child, isinstance(update, Insert))
+
+    def _is_alive(self, row: int) -> bool:
+        return bool(self._alive[row >> 3] & (1 << (row & 7)))
 
     def _apply_event(self, event: _Event) -> None:
-        kind, oid, label, is_set, children, value, _pos = event
-        if kind == "c":
-            if oid in self.row_of:
-                # OID re-created after removal: stale CSR edges point at
-                # the tombstoned row — only a rebuild re-links them.
-                self._needs_rebuild = True
-                return
-            row = len(self.oid_of)
-            self.oid_of.append(oid)
-            self.label_of.append(label)
-            self.value_of.append(value)
-            self.row_of[oid] = row
-            if (row >> 3) >= len(self._alive):
-                self._alive.append(0)
-            self._alive[row >> 3] |= 1 << (row & 7)
-            self._labels.add(label)
-            self.counters.snapshot_rows_scanned += 1
-            if is_set:
-                adj: dict[str, set[int]] = {}
-                for child in children:
-                    crow = self.row_of.get(child)
-                    if crow is None:
-                        if not self._is_external(child):
-                            self._pending.setdefault(child, set()).add(row)
-                        continue
-                    adj.setdefault(self.label_of[crow], set()).add(crow)
-                self._patched[row] = adj
-            waiting = self._pending.pop(oid, None)
-            if waiting:
-                for prow in waiting:
-                    padj = self._adjacency_of(prow)
-                    padj.setdefault(label, set()).add(row)
+        kind, oid, detail, _pos = event
+        if kind == "+" or kind == "-":
+            self._link(oid, detail, kind == "+")
+        elif kind == "c":
+            self._create(oid, *detail)
         else:  # removal
             row = self.row_of.get(oid)
             if row is None:
                 self._needs_rebuild = True
                 return
-            mask = 1 << (row & 7)
-            if self._alive[row >> 3] & mask:
-                self._alive[row >> 3] &= ~mask & 0xFF
+            if self._is_alive(row):
+                self._alive[row >> 3] &= ~(1 << (row & 7)) & 0xFF
                 self._dead += 1
             self.counters.snapshot_rows_scanned += 1
+
+    def _create(
+        self,
+        oid: str,
+        label: str,
+        is_set: bool,
+        children: tuple[str, ...],
+        value: object,
+    ) -> None:
+        row = self.row_of.get(oid)
+        if row is not None:
+            # A removed OID re-created with its old label (a delegate
+            # re-entering its view under the same semantic OID) revives
+            # its row in place: oid_of/label_of/row_of stay as they are,
+            # so frozen epochs sharing them stay sound.  A new label, or
+            # a creation over a live row, has no in-place image.
+            if self._is_alive(row) or self.label_of[row] != label:
+                self._needs_rebuild = True
+                return
+            self._alive[row >> 3] |= 1 << (row & 7)
+            self._dead -= 1
+            self._image_row(row, is_set, children, value)
+            self.counters.snapshot_rows_scanned += 1
+            return
+        row = len(self.oid_of)
+        self.oid_of.append(oid)
+        self.label_of.append(label)
+        self.value_of.append(value)
+        self.row_of[oid] = row
+        if (row >> 3) >= len(self._alive):
+            self._alive.append(0)
+        self._alive[row >> 3] |= 1 << (row & 7)
+        self._labels.add(label)
+        self.counters.snapshot_rows_scanned += 1
+        self._set_adjacency(row, children, is_set=is_set)
+        waiting = self._pending.pop(oid, None)
+        if waiting:
+            for prow in waiting:
+                padj = self._adjacency_of(prow)
+                padj.setdefault(label, set()).add(row)
+
+    def _reimage(self, oid: str) -> None:
+        """Re-read *oid*'s value from the store (a wholesale rewrite)."""
+        row = self.row(oid)
+        obj = self._store.peek(oid)
+        if row is None or obj is None:
+            return  # removed since: its removal event tombstoned it
+        label, is_set, children, value = _image_of(obj)
+        if label != self.label_of[row]:
+            self._needs_rebuild = True
+            return
+        self._image_row(row, is_set, children, value)
+        if is_set:
+            # Uncharged for atomic rows, like modify replay: a cell write.
+            self.counters.snapshot_rows_scanned += 1
+
+    def _image_row(
+        self, row: int, is_set: bool, children: tuple[str, ...], value
+    ) -> None:
+        """Replace an existing row's value cell and adjacency."""
+        self.value_of[row] = value
+        self._forget_pending_parent(row)
+        self._set_adjacency(row, children, is_set=is_set)
 
     # -- snapshot view protocol -------------------------------------------
 
@@ -533,8 +703,10 @@ class ColumnarSnapshot:
         captures every column by the cheapest sound means: columns the
         live snapshot only appends to or wholesale-replaces
         (``oid_of``/``label_of``/``row_of``, the CSR arrays) are shared
-        with an ``nrows`` clamp; columns mutated in place (the alive
-        bitset, the patch overlay, the value column) are copied.
+        with an ``nrows`` clamp; the patch overlay is shared
+        copy-on-write (the live snapshot copies the dict on its next
+        write and a row's adjacency on that row's first write); the
+        alive bitset and the value column are copied.
         Reader work on the frozen view is charged to *counters* (the
         serving tier's own currency), defaulting to the snapshot's.
         """
@@ -563,12 +735,14 @@ class EpochView:
     serving tier's condition evaluation run on it unchanged.  Sharing
     contract with the live :class:`ColumnarSnapshot` it was frozen
     from: ``oid_of``/``label_of`` only ever *append* between rebuilds
-    and a rebuild *replaces* the list objects, so sharing them with an
-    ``nrows`` clamp is sound; likewise ``row_of`` only gains keys
-    (mapping to rows ≥ the frozen ``nrows``, filtered here) and CSR
-    arrays are replaced, never mutated.  The alive bitset, patch
-    overlay, and value column are mutated in place by delta refreshes,
-    so those are copied at freeze time.
+    (a revived row keeps its OID and label) and a rebuild *replaces*
+    the list objects, so sharing them with an ``nrows`` clamp is sound;
+    likewise ``row_of`` only gains keys (mapping to rows ≥ the frozen
+    ``nrows``, filtered here) and CSR arrays are replaced, never
+    mutated.  The patch overlay is shared copy-on-write: the live
+    snapshot never writes a dict or adjacency it handed to a frozen
+    epoch.  The alive bitset and value column are mutated in place by
+    delta refreshes, so those are copied at freeze time.
     """
 
     def __init__(self, snapshot: ColumnarSnapshot, counters) -> None:
@@ -585,10 +759,7 @@ class EpochView:
         self._label_csr = snapshot._label_csr
         self._all_csr = snapshot._all_csr
         self._csr_rows = snapshot._csr_rows
-        self._patched = {
-            row: {label: set(bucket) for label, bucket in adj.items()}
-            for row, adj in snapshot._patched.items()
-        }
+        self._patched = snapshot._share_overlay()
 
     def row(self, oid: str) -> int | None:
         row = self._row_of.get(oid)

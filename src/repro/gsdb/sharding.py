@@ -362,6 +362,18 @@ class ShardedStore:
     def subscribe_removals(self, listener: Callable[[Object], None]) -> None:
         self._removal_listeners.append(listener)
 
+    # -- view surgery (forwarded to the owning shard) -------------------------
+
+    def relink(self, parent: Object, child: str, linked: bool) -> None:
+        """:meth:`ObjectStore.relink` at *parent*'s shard.  A child on
+        another shard is not registered in the border index, so such
+        view edges stay outside the stitched columnar snapshot."""
+        self._shards[self.shard_of(parent.oid)].relink(parent, child, linked)
+
+    def rewrote(self, oid: str) -> None:
+        """:meth:`ObjectStore.rewrote` at *oid*'s shard."""
+        self._shards[self.shard_of(oid)].rewrote(oid)
+
     # -- basic updates --------------------------------------------------------
 
     def apply(self, update: Update) -> None:

@@ -66,6 +66,8 @@ class ObjectStore:
         self._listeners: list[UpdateListener] = []
         self._creation_listeners: list[Callable[[Object], None]] = []
         self._removal_listeners: list[Callable[[Object], None]] = []
+        self._relink_listeners: list[Callable[[str, str, bool], None]] = []
+        self._rewrite_listeners: list[Callable[[str], None]] = []
         self.log = UpdateLog()
         self.counters = counters if counters is not None else CostCounters()
         self.check_references = check_references
@@ -218,6 +220,45 @@ class ObjectStore:
         sound; log position alone cannot witness them.
         """
         self._removal_listeners.append(listener)
+
+    def subscribe_relinks(
+        self, listener: Callable[[str, str, bool], None]
+    ) -> None:
+        """Register ``listener(parent, child, linked)``, invoked after
+        each :meth:`relink`, in order with creations and removals."""
+        self._relink_listeners.append(listener)
+
+    def subscribe_rewrites(self, listener: Callable[[str], None]) -> None:
+        """Register ``listener(oid)``, invoked by :meth:`rewrote`."""
+        self._rewrite_listeners.append(listener)
+
+    # -- view surgery (outside the update log) --------------------------------
+
+    def relink(self, parent: Object, child: str, linked: bool) -> None:
+        """Add (*linked*) or drop *child* in set object *parent*'s value.
+
+        The edge edits a view makes to its own objects (``V_insert`` /
+        ``V_delete`` of Section 4.3, swizzling, annotation) are not
+        basic updates on the base data, so they bypass the update log
+        and its listeners, as creations do; relink listeners see them
+        instead, in order.  *parent* is the object itself (views hold
+        their view objects), so the edit is O(1) with no lookup.
+        """
+        if linked:
+            parent.children().add(child)
+        else:
+            parent.children().discard(child)
+        if self._relink_listeners:
+            for listener in self._relink_listeners:
+                listener(parent.oid, child, linked)
+
+    def rewrote(self, oid: str) -> None:
+        """Announce that the caller replaced *oid*'s value wholesale
+        (a delegate refresh, a virtual view's re-evaluation, an
+        aggregate's publication): derived images re-read it."""
+        if self._rewrite_listeners:
+            for listener in self._rewrite_listeners:
+                listener(oid)
 
     # -- basic updates (paper Section 4.1) -----------------------------------
 

@@ -192,7 +192,12 @@ class AggregateView:
 
     def _publish(self) -> None:
         value = self.current_value()
-        self.object.value = value if value is not None else 0
+        if value is None:
+            value = 0
+        old = self.object.value
+        self.object.value = value
+        if value != old or type(value) is not type(old):
+            self.view.view_store.rewrote(self.object.oid)
 
     def check(self) -> bool:
         """Audit: recompute from scratch and compare."""

@@ -77,7 +77,7 @@ class ViewCluster:
                 self.view_store.add_object(base.copy(oid=doid))
             finally:
                 self.view_store.check_references = previous
-            self.cluster_object.children().add(doid)
+            self.view_store.relink(self.cluster_object, doid, True)
             self.view_store.counters.delegates_inserted += 1
         self._refcounts[base_oid] = count + 1
         return doid
@@ -92,7 +92,7 @@ class ViewCluster:
         if count == 1:
             del self._refcounts[base_oid]
             doid = self.delegate_oid(base_oid)
-            self.cluster_object.children().discard(doid)
+            self.view_store.relink(self.cluster_object, doid, False)
             if doid in self.view_store:
                 self.view_store.remove_object(doid)
             self.view_store.counters.delegates_deleted += 1
@@ -111,6 +111,7 @@ class ViewCluster:
         )
         delegate.label = base.label
         delegate.type = base.type
+        self.view_store.rewrote(delegate.oid)
         self.view_store.counters.delegates_refreshed += 1
 
     def shared_delegates(self) -> set[str]:
@@ -178,14 +179,16 @@ class ClusterMemberView:
             return False
         doid = self.cluster.acquire(base_oid)
         self._members.add(base_oid)
-        self.view_object.children().add(doid)
+        self.view_store.relink(self.view_object, doid, True)
         return True
 
     def v_delete(self, base_oid: str) -> bool:
         if base_oid not in self._members:
             return False
         self._members.discard(base_oid)
-        self.view_object.children().discard(self.delegate_oid(base_oid))
+        self.view_store.relink(
+            self.view_object, self.delegate_oid(base_oid), False
+        )
         self.cluster.release(base_oid)
         return True
 

@@ -161,7 +161,7 @@ class MaterializedView:
         finally:
             self.view_store.check_references = previous
         self._members.add(base_oid)
-        self.view_object.children().add(doid)
+        self.view_store.relink(self.view_object, doid, True)
         self.view_store.counters.delegates_inserted += 1
         if self.swizzle is SwizzleMode.EAGER:
             self._swizzle_delegate(base_oid)
@@ -181,7 +181,7 @@ class MaterializedView:
             return False
         doid = self.delegate_oid(base_oid)
         self._members.discard(base_oid)
-        self.view_object.children().discard(doid)
+        self.view_store.relink(self.view_object, doid, False)
         if doid in self.view_store:
             self.view_store.remove_object(doid)
         ts_oid = self.timestamp_oid(base_oid)
@@ -212,6 +212,7 @@ class MaterializedView:
             delegate.value = base.atomic_value()
         delegate.label = base.label
         delegate.type = base.type
+        self.view_store.rewrote(doid)
         self.view_store.counters.delegates_refreshed += 1
         if self.swizzle is SwizzleMode.EAGER:
             self._swizzle_delegate(base_oid)
@@ -247,11 +248,11 @@ class MaterializedView:
             delegate = self.delegate(base_oid)
             if delegate is None or not delegate.is_set:
                 continue
-            children = delegate.children()
-            swizzled = {c for c in children if c.startswith(prefix)}
+            swizzled = sorted(
+                c for c in delegate.children() if c.startswith(prefix)
+            )
             for child in swizzled:
-                children.discard(child)
-                children.add(child[len(prefix):])
+                self._retarget(delegate, child, child[len(prefix):])
                 rewritten += 1
         return rewritten
 
@@ -271,10 +272,11 @@ class MaterializedView:
             delegate = self.delegate(base_oid)
             if delegate is None or not delegate.is_set:
                 continue
-            children = delegate.children()
-            base_refs = {c for c in children if not c.startswith(prefix)}
+            base_refs = sorted(
+                c for c in delegate.children() if not c.startswith(prefix)
+            )
             for ref in base_refs:
-                children.discard(ref)
+                self.view_store.relink(delegate, ref, False)
                 removed += 1
         return removed
 
@@ -306,23 +308,27 @@ class MaterializedView:
                 continue
             removed += len(delegate.children())
             delegate.children().clear()
+            self.view_store.rewrote(delegate.oid)
         return removed
 
     def _swizzle_delegate(self, base_oid: str) -> int:
         delegate = self.delegate(base_oid)
         if delegate is None or not delegate.is_set:
             return 0
-        children = delegate.children()
         rewritten = 0
         ts_oid = self.timestamp_oid(base_oid)
-        for child in sorted(children):
+        for child in sorted(delegate.children()):
             if child == ts_oid or child.startswith(self.oid + "."):
                 continue
             if child in self._members:
-                children.discard(child)
-                children.add(self.delegate_oid(child))
+                self._retarget(delegate, child, self.delegate_oid(child))
                 rewritten += 1
         return rewritten
+
+    def _retarget(self, delegate: Object, old: str, new: str) -> None:
+        """Point *delegate*'s edge to *old* at *new* instead."""
+        self.view_store.relink(delegate, old, False)
+        self.view_store.relink(delegate, new, True)
 
     def _reswizzle_referrers(self, new_member: str) -> None:
         """A new member appeared: swizzle references to it elsewhere."""
@@ -332,10 +338,10 @@ class MaterializedView:
             delegate = self.delegate(base_oid)
             if delegate is None or not delegate.is_set:
                 continue
-            children = delegate.children()
-            if new_member in children:
-                children.discard(new_member)
-                children.add(self.delegate_oid(new_member))
+            if new_member in delegate.children():
+                self._retarget(
+                    delegate, new_member, self.delegate_oid(new_member)
+                )
 
     def _unswizzle_referrers(self, gone_member: str) -> None:
         """A member left: references to its delegate revert to base."""
@@ -344,10 +350,8 @@ class MaterializedView:
             delegate = self.delegate(base_oid)
             if delegate is None or not delegate.is_set:
                 continue
-            children = delegate.children()
-            if gone_doid in children:
-                children.discard(gone_doid)
-                children.add(gone_member)
+            if gone_doid in delegate.children():
+                self._retarget(delegate, gone_doid, gone_member)
 
     # -- timestamp annotation ----------------------------------------------------------
 
@@ -360,6 +364,7 @@ class MaterializedView:
         existing = self.view_store.get_optional(ts_oid)
         if existing is not None:
             existing.value = self._clock
+            self.view_store.rewrote(ts_oid)
         else:
             previous = self.view_store.check_references
             self.view_store.check_references = False
@@ -367,7 +372,7 @@ class MaterializedView:
                 self.view_store.add_atomic(ts_oid, TIMESTAMP_LABEL, self._clock)
             finally:
                 self.view_store.check_references = previous
-        delegate.children().add(ts_oid)
+        self.view_store.relink(delegate, ts_oid, True)
 
     def annotation_oids(self) -> set[str]:
         """All annotation OIDs (ignored by consistency checking)."""

@@ -171,7 +171,9 @@ class PartialMaterializedView:
             return False
         self._members.add(member)
         self._build_fragment(member)
-        self.view_object.children().add(self.delegate_oid(member))
+        self.view_store.relink(
+            self.view_object, self.delegate_oid(member), True
+        )
         self.view_store.counters.delegates_inserted += 1
         return True
 
@@ -180,7 +182,9 @@ class PartialMaterializedView:
             return False
         self._members.discard(member)
         self._drop_fragment(member)
-        self.view_object.children().discard(self.delegate_oid(member))
+        self.view_store.relink(
+            self.view_object, self.delegate_oid(member), False
+        )
         self.view_store.counters.delegates_deleted += 1
         return True
 

@@ -66,7 +66,9 @@ class VirtualView:
         members = compute_view_members(
             self.definition, self.store, registry=self.registry
         )
-        self.view_object.value = set(members)
+        if members != self.view_object.value:
+            self.view_object.value = set(members)
+            self.store.rewrote(self.oid)
         return members
 
     def members(self) -> set[str]:

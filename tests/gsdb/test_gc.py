@@ -4,6 +4,7 @@ import pytest
 
 from repro.gsdb import ObjectStore
 from repro.gsdb.gc import catalog_roots, collect_garbage, reachable_from
+from repro.gsdb.updates import Modify
 from repro.views import ViewCatalog
 from repro.workloads import person_db, register_person_database
 
@@ -83,3 +84,24 @@ class TestCatalogRoots:
         assert "P1" in collected
         assert "YP" not in collected  # the view object itself survives
         assert catalog.check("YP").ok
+
+
+class TestColumnarMark:
+    def test_view_delegate_joining_by_batch_survives(self):
+        # A delegate created by maintenance is linked under its view
+        # object outside the update log; the columnar mark must still
+        # see that edge, or GC would collect a live delegate.
+        catalog = ViewCatalog()
+        person_db(catalog.store, tree=True)
+        register_person_database(catalog)
+        catalog.define(
+            "define mview V as: SELECT ROOT.professor X WHERE X.age > 50"
+        )
+        catalog.enable_columnar().current()
+        catalog.apply_batch([Modify("A1", 45, 60)])
+        assert catalog.materialized_views["V"].contains("P1")
+        roots = catalog_roots(catalog)
+        collected = collect_garbage(catalog.store, roots, dry_run=True)
+        assert "V.P1" not in collected
+        catalog.store.columnar.disable()
+        assert collect_garbage(catalog.store, roots, dry_run=True) == collected
